@@ -8,8 +8,8 @@ use saguaro_ledger::{BlockchainState, LinearLedger, TxStatus};
 use saguaro_net::{Actor, Addr, Context, TimerId};
 use saguaro_trace::{TraceActor, TraceConfig, TraceEvent, TraceEventKind, Tracer};
 use saguaro_types::{
-    BatchConfig, CheckpointConfig, DeliveryLog, DomainId, FailureModel, LivenessConfig, MultiSeq,
-    NodeId, QuorumSpec, SeqNo, SimTime, StateSnapshot, Transaction, TxId,
+    BatchConfig, CheckpointConfig, DeliveryLog, DomainId, FailureModel, Genesis, LivenessConfig,
+    MultiSeq, NodeId, QuorumSpec, SeqNo, SimTime, StateSnapshot, Transaction, TxId,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -266,6 +266,12 @@ impl BaselineNode {
         self.state.put(key, balance);
     }
 
+    /// Starts the node's state from the shard's shared genesis balances
+    /// (before the run), replacing any seeded so far.
+    pub fn seed_genesis(&mut self, genesis: Arc<Genesis>) {
+        self.state = BlockchainState::with_genesis(genesis);
+    }
+
     /// The node's role in the deployment.
     pub fn role(&self) -> BaselineRole {
         self.role
@@ -432,13 +438,7 @@ impl BaselineNode {
     /// hands it to the engine.  Only fires under a finite retention window,
     /// where it also bounds the ledger and the cross-shard caches.
     fn take_snapshot(&mut self, seq: SeqNo) {
-        let snapshot = StateSnapshot {
-            seq,
-            delivery_hash: self.stats.consensus_log.last(),
-            accounts: self.state.iter().map(|(k, v)| (k.to_string(), v)).collect(),
-            mobile: Vec::new(),
-            hosted: Vec::new(),
-        };
+        let snapshot = self.state.to_snapshot(seq, self.stats.consensus_log.last());
         self.consensus.store_snapshot(Arc::new(snapshot));
         self.stats.snapshots_taken += 1;
         // Baseline deployments never cut propagation blocks, so the
@@ -454,10 +454,7 @@ impl BaselineNode {
     /// Replaces the executed state with a catch-up snapshot's; the retained
     /// command tail follows as ordinary deliveries.
     fn install_snapshot(&mut self, snapshot: &StateSnapshot) {
-        self.state = BlockchainState::new();
-        for (k, v) in &snapshot.accounts {
-            self.state.put(k.clone(), *v);
-        }
+        self.state = BlockchainState::from_snapshot(snapshot);
         if self.record_deliveries {
             self.stats
                 .consensus_log

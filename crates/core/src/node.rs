@@ -29,8 +29,8 @@ use saguaro_ledger::{
 use saguaro_net::{Actor, Addr, Context, TimerId};
 use saguaro_trace::{TraceActor, TraceEvent, TraceEventKind, Tracer};
 use saguaro_types::{
-    ClientId, DomainId, FailureModel, MobileOwnership, NodeId, Operation, QuorumSpec, SeqNo,
-    StateSnapshot, Transaction, TxId,
+    ClientId, DomainId, FailureModel, Genesis, MobileOwnership, NodeId, Operation, QuorumSpec,
+    SeqNo, StateSnapshot, Transaction, TxId,
 };
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -181,6 +181,12 @@ impl SaguaroNode {
     /// Seeds an account balance directly (experiment setup, before the run).
     pub fn seed_account(&mut self, key: impl Into<String>, balance: u64) {
         self.state.put(key, balance);
+    }
+
+    /// Starts the node's state from the domain's shared genesis balances
+    /// (experiment setup, before the run), replacing any seeded so far.
+    pub fn seed_genesis(&mut self, genesis: Arc<Genesis>) {
+        self.state = BlockchainState::with_genesis(genesis);
     }
 
     /// The node identifier.
@@ -463,11 +469,9 @@ impl SaguaroNode {
         let mut hosted: Vec<ClientId> = self.hosted_devices.iter().copied().collect();
         hosted.sort_by_key(|c| c.0);
         let snapshot = StateSnapshot {
-            seq,
-            delivery_hash: self.stats.consensus_log.last(),
-            accounts: self.state.iter().map(|(k, v)| (k.to_string(), v)).collect(),
             mobile,
             hosted,
+            ..self.state.to_snapshot(seq, self.stats.consensus_log.last())
         };
         self.consensus.store_snapshot(Arc::new(snapshot));
         self.stats.snapshots_taken += 1;
@@ -496,10 +500,7 @@ impl SaguaroNode {
     /// transactions they belong to are quorum-executed behind a stable
     /// checkpoint and can no longer abort.
     fn install_snapshot(&mut self, snapshot: &StateSnapshot) {
-        self.state = BlockchainState::new();
-        for (k, v) in &snapshot.accounts {
-            self.state.put(k.clone(), *v);
-        }
+        self.state = BlockchainState::from_snapshot(snapshot);
         self.mobile = snapshot
             .mobile
             .iter()

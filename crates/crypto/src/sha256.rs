@@ -140,17 +140,25 @@ impl Sha256 {
     /// Finalises the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zeros then the 64-bit big-endian length.
-        self.update(&[0x80]);
-        // update() adjusted total_len; undo that for the length field only.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // Append 0x80, zero-fill to 56 mod 64, then the 64-bit big-endian
+        // length; a tail of 56 bytes or more leaves no room for the length
+        // and spills into a second block.
+        let tail = self.buffer_len;
+        self.buffer[tail] = 0x80;
+        self.buffer[tail + 1..].fill(0);
+        if tail >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0u8; 64];
         }
-        let block_len = self.buffer_len;
-        self.buffer[block_len..block_len + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
+        self.digest()
+    }
 
+    /// The current chaining state as a digest.
+    fn digest(&self) -> Digest {
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -244,6 +252,44 @@ mod tests {
         assert_eq!(
             hex(&sha256(b"abc")),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+    }
+
+    /// SHA-256 with the message and then the padding fed one byte at a
+    /// time through `update`, so only the compression function is shared
+    /// with `finalize`.
+    fn bytewise_reference(msg: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        for b in msg {
+            h.update(&[*b]);
+        }
+        h.update(&[0x80]);
+        while h.buffer_len != 56 {
+            h.update(&[0]);
+        }
+        h.update(&(msg.len() as u64 * 8).to_be_bytes());
+        assert_eq!(h.buffer_len, 0);
+        h.digest()
+    }
+
+    #[test]
+    fn padding_matches_bytewise_reference_across_block_boundaries() {
+        let msg: Vec<u8> = (0..=130u8).map(|i| i.wrapping_mul(37)).collect();
+        for len in 0..=130 {
+            assert_eq!(
+                sha256(&msg[..len]),
+                bytewise_reference(&msg[..len]),
+                "length {len}"
+            );
+        }
+        assert_eq!(
+            bytewise_reference(b"abc").to_hex(),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            bytewise_reference(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")
+                .to_hex(),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
         );
     }
 

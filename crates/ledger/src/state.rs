@@ -8,8 +8,13 @@
 //! optimistic cross-domain protocol can roll back an aborted transaction and
 //! its data-dependent successors.
 
-use saguaro_types::{Operation, Result, SaguaroError};
+use saguaro_types::genesis::has_prefix;
+use saguaro_types::{Genesis, Operation, Result, SaguaroError, SeqNo, StateSnapshot};
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// One reversible state mutation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,11 +47,31 @@ impl UndoRecord {
     }
 }
 
-/// The key/value blockchain state of one domain.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// The key/value blockchain state of one domain: the domain's shared,
+/// immutable [`Genesis`] overlaid with the keys execution changed.
+///
+/// Replicas of one domain share one genesis, so seeding a replica and
+/// snapshotting it cost O(changed keys), not O(accounts).  Every read
+/// answers for the combined map; the split is invisible to callers.
+#[derive(Clone, Debug, Default)]
 pub struct BlockchainState {
-    values: BTreeMap<String, u64>,
+    genesis: Arc<Genesis>,
+    /// Keys whose value differs from `genesis` or that `genesis` lacks.
+    changed: BTreeMap<String, u64>,
 }
+
+impl PartialEq for BlockchainState {
+    fn eq(&self, other: &Self) -> bool {
+        // `changed` is canonical for its genesis, so with equal geneses
+        // the overlays decide.
+        if self.genesis == other.genesis {
+            return self.changed == other.changed;
+        }
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for BlockchainState {}
 
 impl BlockchainState {
     /// An empty state.
@@ -54,19 +79,54 @@ impl BlockchainState {
         Self::default()
     }
 
+    /// A state holding exactly the balances of `genesis`.
+    pub fn with_genesis(genesis: Arc<Genesis>) -> Self {
+        Self {
+            genesis,
+            changed: BTreeMap::new(),
+        }
+    }
+
+    /// The state a snapshot captured.
+    pub fn from_snapshot(snapshot: &StateSnapshot) -> Self {
+        let mut state = Self::with_genesis(snapshot.genesis.clone());
+        state.install_account_state(&snapshot.accounts);
+        state
+    }
+
+    /// A snapshot of the state at checkpoint `seq`: the shared genesis plus
+    /// a copy of the changed keys only.  The mobile tables are left empty.
+    pub fn to_snapshot(&self, seq: SeqNo, delivery_hash: Option<u64>) -> StateSnapshot {
+        StateSnapshot {
+            seq,
+            delivery_hash,
+            genesis: self.genesis.clone(),
+            accounts: self.changed.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            ..StateSnapshot::default()
+        }
+    }
+
     /// Number of keys in the state.
     pub fn len(&self) -> usize {
-        self.values.len()
+        let added = self
+            .changed
+            .keys()
+            .filter(|k| !self.genesis.contains(k))
+            .count();
+        self.genesis.len() + added
     }
 
     /// True if the state holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
     /// Reads a key.
     pub fn get(&self, key: &str) -> Option<u64> {
-        self.values.get(key).copied()
+        match self.changed.get(key) {
+            Some(v) => Some(*v),
+            None => self.genesis.get(key),
+        }
     }
 
     /// Reads an account balance, defaulting to zero for unknown accounts.
@@ -77,22 +137,94 @@ impl BlockchainState {
     /// Directly sets a key (used to seed initial balances and to install
     /// state snapshots received through the mobile consensus protocol).
     pub fn put(&mut self, key: impl Into<String>, value: u64) {
-        self.values.insert(key.into(), value);
+        let key = key.into();
+        if self.genesis.get(&key) == Some(value) {
+            self.changed.remove(&key);
+        } else {
+            self.changed.insert(key, value);
+        }
     }
 
-    /// Iterates over all `(key, value)` pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.values.iter().map(|(k, v)| (k.as_str(), *v))
+    /// [`Self::put`] for a borrowed key, allocating only for a key not yet
+    /// changed.
+    fn set(&mut self, key: &str, value: u64) {
+        if self.genesis.get(key) == Some(value) {
+            self.changed.remove(key);
+        } else if let Some(slot) = self.changed.get_mut(key) {
+            *slot = value;
+        } else {
+            self.changed.insert(key.to_string(), value);
+        }
+    }
+
+    fn remove(&mut self, key: &str) {
+        self.changed.remove(key);
+        if self.genesis.contains(key) {
+            // Only an undo record taken on another state can remove a
+            // genesis key; fold the genesis into the overlay to drop it.
+            self.changed = self.iter().map(|(k, v)| (k.into_owned(), v)).collect();
+            self.genesis = Arc::default();
+            self.changed.remove(key);
+        }
+    }
+
+    /// Iterates over all `(key, value)` pairs in key order.  Genesis keys
+    /// are spelled out up front, so this is for audits and tests.
+    pub fn iter(&self) -> impl Iterator<Item = (Cow<'_, str>, u64)> {
+        self.with_prefix("")
+    }
+
+    /// The `(key, value)` pairs whose key starts with `prefix`, in key
+    /// order: genesis's entries merged with the overlay, which wins ties.
+    fn with_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = (Cow<'a, str>, u64)> {
+        let mut base = self
+            .genesis
+            .entries_with_prefix(prefix)
+            .into_iter()
+            .peekable();
+        let mut overlay = self
+            .changed_with_prefix(prefix)
+            .map(|(k, v)| (Cow::Borrowed(k.as_str()), *v))
+            .peekable();
+        std::iter::from_fn(move || {
+            let order = match (base.peek(), overlay.peek()) {
+                (Some((b, _)), Some((o, _))) => b.as_str().cmp(o),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            if order == Ordering::Equal {
+                base.next();
+            }
+            match order {
+                Ordering::Less => base.next().map(|(k, v)| (Cow::Owned(k), v)),
+                _ => overlay.next(),
+            }
+        })
+    }
+
+    fn changed_with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a String, &'a u64)> {
+        self.changed
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(move |(k, _)| has_prefix(k, prefix))
     }
 
     /// Sum of the values of all keys with the given prefix (e.g. the total
     /// amount of assets held by accounts of one application).
     pub fn sum_by_prefix(&self, prefix: &str) -> u64 {
-        self.values
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| *v)
-            .sum()
+        self.changed_with_prefix(prefix)
+            .fold(self.genesis.sum_by_prefix(prefix), |sum, (k, v)| {
+                self.overlay_delta(sum, k, *v)
+            })
+    }
+
+    /// `sum` with genesis's value of `key` replaced by `value` (wrapping,
+    /// so the result equals the plain sum whenever that fits).
+    fn overlay_delta(&self, sum: u64, key: &str, value: u64) -> u64 {
+        sum.wrapping_add(value)
+            .wrapping_sub(self.genesis.get(key).unwrap_or(0))
     }
 
     /// Executes an operation, mutating the state.  Returns the undo record on
@@ -109,15 +241,15 @@ impl BlockchainState {
                     });
                 }
                 let prior = vec![(from.clone(), self.get(from)), (to.clone(), self.get(to))];
-                self.values.insert(from.clone(), from_balance - amount);
+                self.set(from, from_balance - amount);
                 let to_balance = self.balance(to);
-                self.values.insert(to.clone(), to_balance + amount);
+                self.set(to, to_balance + amount);
                 Ok(UndoRecord { prior })
             }
             Operation::Mint { account, amount } => {
                 let prior = vec![(account.clone(), self.get(account))];
                 let balance = self.balance(account);
-                self.values.insert(account.clone(), balance + amount);
+                self.set(account, balance + amount);
                 Ok(UndoRecord { prior })
             }
             Operation::RideTask {
@@ -126,16 +258,16 @@ impl BlockchainState {
                 let key = format!("hours/{driver}");
                 let prior = vec![(key.clone(), self.get(&key))];
                 let total = self.get(&key).unwrap_or(0) + minutes;
-                self.values.insert(key, total);
+                self.put(key, total);
                 Ok(UndoRecord { prior })
             }
             Operation::Put { key, value } => {
                 let prior = vec![(key.clone(), self.get(key))];
-                self.values.insert(key.clone(), *value);
+                self.set(key, *value);
                 Ok(UndoRecord { prior })
             }
             Operation::Get { key } => {
-                if self.values.contains_key(key) {
+                if self.get(key).is_some() {
                     Ok(UndoRecord::empty())
                 } else {
                     Err(SaguaroError::UnknownAccount(key.clone()))
@@ -159,7 +291,7 @@ impl BlockchainState {
             });
         }
         let prior = vec![(account.to_string(), self.get(account))];
-        self.values.insert(account.to_string(), balance - amount);
+        self.set(account, balance - amount);
         Ok(UndoRecord { prior })
     }
 
@@ -167,7 +299,7 @@ impl BlockchainState {
     pub fn credit(&mut self, account: &str, amount: u64) -> UndoRecord {
         let prior = vec![(account.to_string(), self.get(account))];
         let balance = self.balance(account);
-        self.values.insert(account.to_string(), balance + amount);
+        self.set(account, balance + amount);
         UndoRecord { prior }
     }
 
@@ -177,12 +309,8 @@ impl BlockchainState {
     pub fn revert(&mut self, undo: &UndoRecord) {
         for (key, prior) in undo.prior.iter().rev() {
             match prior {
-                Some(v) => {
-                    self.values.insert(key.clone(), *v);
-                }
-                None => {
-                    self.values.remove(key);
-                }
+                Some(v) => self.set(key, *v),
+                None => self.remove(key),
             }
         }
     }
@@ -190,24 +318,34 @@ impl BlockchainState {
     /// Total of all values (conservation checks in tests: transfers preserve
     /// the total supply).
     pub fn total_supply(&self) -> u64 {
-        self.values.values().sum()
+        self.changed
+            .iter()
+            .fold(self.genesis.total(), |sum, (k, v)| {
+                self.overlay_delta(sum, k, *v)
+            })
     }
 
     /// Extracts the sub-state relevant to one account — the "state of the
     /// mobile node" shipped to a remote domain by the mobile consensus
-    /// protocol (Algorithm 2's `GenerateState`).
+    /// protocol (Algorithm 2's `GenerateState`): the account itself and
+    /// every key under `hours/{account}`, in key order.
     pub fn extract_account_state(&self, account: &str) -> Vec<(String, u64)> {
-        self.values
-            .iter()
-            .filter(|(k, _)| k.as_str() == account || k.starts_with(&format!("hours/{account}")))
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+        let hours = format!("hours/{account}");
+        let mut out: Vec<(String, u64)> = self
+            .with_prefix(&hours)
+            .map(|(k, v)| (k.into_owned(), v))
+            .collect();
+        if let Some(v) = self.get(account) {
+            let at = out.partition_point(|(k, _)| k.as_str() < account);
+            out.insert(at, (account.to_string(), v));
+        }
+        out
     }
 
     /// Installs a sub-state received from another domain (mobile consensus).
     pub fn install_account_state(&mut self, entries: &[(String, u64)]) {
         for (k, v) in entries {
-            self.values.insert(k.clone(), *v);
+            self.set(k, *v);
         }
     }
 }
@@ -361,6 +499,43 @@ mod tests {
             let _ = s.execute(&transfer(from, to, i % 7));
         }
         assert_eq!(s.total_supply(), 200);
+    }
+
+    fn seeded() -> BlockchainState {
+        let seeds: Vec<(String, u64)> = (0..100).map(|n| (format!("a0_{n}"), 10)).collect();
+        BlockchainState::with_genesis(Arc::new(Genesis::from_seeds(&seeds)))
+    }
+
+    #[test]
+    fn genesis_backed_state_records_and_snapshots_only_changes() {
+        let mut s = seeded();
+        assert_eq!((s.len(), s.total_supply()), (100, 1_000));
+        assert!(s.to_snapshot(4, None).accounts.is_empty());
+        s.execute(&transfer("a0_1", "b", 4)).unwrap();
+        s.credit("a0_2", 0);
+        let undo = s.execute(&transfer("a0_3", "a0_1", 4)).unwrap();
+        let snapshot = s.to_snapshot(4, Some(9));
+        // a0_1 is back at its genesis balance; a0_3 and b changed.
+        assert_eq!(
+            snapshot.accounts,
+            vec![("a0_3".to_string(), 6), ("b".to_string(), 4)]
+        );
+        assert_eq!(snapshot.wire_bytes(), 96 + 24 * 101);
+        assert_eq!(BlockchainState::from_snapshot(&snapshot), s);
+        s.revert(&undo);
+        assert_eq!(s.balance("a0_1"), 6);
+        assert_eq!(s.sum_by_prefix("a0_"), 996);
+        assert_eq!(s.len(), 101);
+    }
+
+    #[test]
+    fn foreign_undo_record_can_remove_a_genesis_key() {
+        let mut empty = BlockchainState::new();
+        let undo = empty.credit("a0_5", 3);
+        let mut s = seeded();
+        s.revert(&undo);
+        assert_eq!(s.get("a0_5"), None);
+        assert_eq!((s.len(), s.total_supply()), (99, 990));
     }
 
     #[test]

@@ -10,7 +10,10 @@ use saguaro_core::{ProtocolConfig, SaguaroMsg, SaguaroNode};
 use saguaro_hierarchy::{HierarchyTree, Placement, TopologyBuilder};
 use saguaro_ledger::TxStatus;
 use saguaro_net::{Addr, CpuProfile, LatencyMatrix, SimRuntime};
-use saguaro_types::{ClientId, DomainId, FailureModel, NodeId, Result, SimTime, StackConfig};
+use saguaro_types::{
+    ClientId, DomainId, FailureModel, Genesis, NodeId, Result, SimTime, StackConfig,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Builds the paper's 4-level perfect binary tree with the given failure
@@ -63,6 +66,28 @@ pub fn harness_addr() -> Addr {
     Addr::Client(ClientId(u64::MAX))
 }
 
+/// One shared genesis per seeded height-1 domain, built from every seed
+/// list given for it, in order.  Every replica of the domain starts from it.
+fn edge_geneses(
+    seed_accounts: &[(DomainId, Vec<(String, u64)>)],
+) -> BTreeMap<DomainId, Arc<Genesis>> {
+    let domains: BTreeSet<DomainId> = seed_accounts
+        .iter()
+        .map(|(d, _)| *d)
+        .filter(|d| d.height == 1)
+        .collect();
+    domains
+        .into_iter()
+        .map(|domain| {
+            let seeds = seed_accounts
+                .iter()
+                .filter(|(d, _)| *d == domain)
+                .flat_map(|(_, accounts)| accounts);
+            (domain, Arc::new(Genesis::from_seeds(seeds)))
+        })
+        .collect()
+}
+
 /// Registers a full Saguaro deployment (every replica of every height ≥ 1
 /// domain) and starts its round timers.  `seed_accounts` gives the initial
 /// balances installed on every replica of each height-1 domain.
@@ -72,6 +97,7 @@ pub fn deploy_saguaro<S: SimRuntime<SaguaroMsg>>(
     config: &ProtocolConfig,
     seed_accounts: &[(DomainId, Vec<(String, u64)>)],
 ) {
+    let geneses = edge_geneses(seed_accounts);
     for domain_cfg in tree.domains() {
         let domain = domain_cfg.id;
         if domain.height == 0 {
@@ -80,14 +106,8 @@ pub fn deploy_saguaro<S: SimRuntime<SaguaroMsg>>(
         let region = domain_cfg.region;
         for node in tree.nodes_of(domain).expect("domain nodes") {
             let mut actor = SaguaroNode::new(node, tree.clone(), config.clone());
-            if domain.height == 1 {
-                for (d, accounts) in seed_accounts {
-                    if *d == domain {
-                        for (k, v) in accounts {
-                            actor.seed_account(k.clone(), *v);
-                        }
-                    }
-                }
+            if let Some(genesis) = geneses.get(&domain) {
+                actor.seed_genesis(genesis.clone());
             }
             sim.register(node, region, CpuProfile::server(), Box::new(actor));
         }
@@ -114,6 +134,7 @@ pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
     seed_accounts: &[(DomainId, Vec<(String, u64)>)],
     stack: &StackConfig,
 ) -> DomainId {
+    let geneses = edge_geneses(seed_accounts);
     let committee = tree.root();
     let mut registered = Vec::new();
     for domain_cfg in tree.domains() {
@@ -137,14 +158,8 @@ pub fn deploy_baseline<S: SimRuntime<BaselineMsg>>(
                     .with_liveness(stack.liveness)
                     .with_delivery_recording(stack.record_deliveries)
                     .with_trace(stack.trace);
-            if domain.height == 1 {
-                for (d, accounts) in seed_accounts {
-                    if *d == domain {
-                        for (k, v) in accounts {
-                            actor.seed_account(k.clone(), *v);
-                        }
-                    }
-                }
+            if let Some(genesis) = geneses.get(&domain) {
+                actor.seed_genesis(genesis.clone());
             }
             sim.register(node, region, CpuProfile::server(), Box::new(actor));
             registered.push(node);

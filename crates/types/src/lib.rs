@@ -11,6 +11,8 @@
 //!   geographic regions.
 //! * [`transaction`] — client transactions (internal, cross-domain and mobile)
 //!   and the micropayment/ridesharing operations they carry.
+//! * [`genesis`] — the seeded balances of a height-1 domain, shared by its
+//!   replicas and snapshots.
 //! * [`sequence`] — single- and multi-part sequence numbers (a cross-domain
 //!   transaction carries one part per involved domain, e.g. `12-22-31`).
 //! * [`config`] — failure models, quorum arithmetic and per-domain
@@ -23,6 +25,7 @@
 
 pub mod config;
 pub mod error;
+pub mod genesis;
 pub mod ids;
 pub mod sequence;
 pub mod snapshot;
@@ -35,6 +38,7 @@ pub use config::{
     StackConfig, TraceConfig,
 };
 pub use error::SaguaroError;
+pub use genesis::Genesis;
 pub use ids::{ClientId, DomainId, Height, NodeId, Region};
 pub use sequence::{delivery_hash, DeliveryLog, MultiSeq, SeqNo};
 pub use snapshot::{MobileOwnership, StateSnapshot};

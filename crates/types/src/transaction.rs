@@ -172,7 +172,50 @@ impl TxKind {
 /// this convention to decide which domain debits/credits which side of a
 /// cross-domain transfer.
 pub fn account_key(domain_index: u16, n: u64) -> String {
-    format!("a{domain_index}_{n}")
+    let mut domain_buf = [0u8; 20];
+    let mut n_buf = [0u8; 20];
+    let domain = decimal(u64::from(domain_index), &mut domain_buf);
+    let n = decimal(n, &mut n_buf);
+    let mut key = String::with_capacity(2 + domain.len() + n.len());
+    key.push('a');
+    key.push_str(domain);
+    key.push('_');
+    key.push_str(n);
+    key
+}
+
+/// Writes `v` in decimal into the tail of `buf` and returns the digits.
+fn decimal(mut v: u64, buf: &mut [u8; 20]) -> &str {
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[start..]).expect("decimal digits are ASCII")
+}
+
+/// The `(domain index, account number)` of a key exactly as [`account_key`]
+/// builds it, or `None` for any other key (including non-canonical spellings
+/// such as leading zeros, which name a different key).
+pub fn parse_account_key(key: &str) -> Option<(u16, u64)> {
+    let (domain, n) = key.strip_prefix('a')?.split_once('_')?;
+    Some((
+        u16::try_from(canonical_decimal(domain)?).ok()?,
+        canonical_decimal(n)?,
+    ))
+}
+
+/// The value of `digits` if it is exactly how [`decimal`] spells a `u64`.
+pub(crate) fn canonical_decimal(digits: &str) -> Option<u64> {
+    let leading_zero = digits.len() > 1 && digits.starts_with('0');
+    if digits.is_empty() || leading_zero || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 /// The owning height-1 domain index of an account key built by
@@ -368,6 +411,35 @@ mod tests {
         assert_eq!(account_owner_index("a12_400"), Some(12));
         assert_eq!(account_owner_index("hours/driver"), None);
         assert_eq!(account_owner_index("aX_1"), None);
+    }
+
+    #[test]
+    fn account_key_matches_format_at_digit_boundaries() {
+        for d in [0u16, 9, 10, u16::MAX] {
+            for n in [0u64, 9, 10, u64::from(u16::MAX), u64::MAX] {
+                assert_eq!(account_key(d, n), format!("a{d}_{n}"));
+                assert_eq!(parse_account_key(&account_key(d, n)), Some((d, n)));
+            }
+        }
+    }
+
+    #[test]
+    fn parse_account_key_accepts_only_canonical_keys() {
+        for key in [
+            "a01_2",
+            "a1_02",
+            "a_2",
+            "a1_",
+            "a1_2_3",
+            "a65536_1",
+            "a1_18446744073709551616",
+            "b1_2",
+            "a+1_2",
+            "hours/a1_2",
+        ] {
+            assert_eq!(parse_account_key(key), None, "{key}");
+        }
+        assert_eq!(parse_account_key("a0_0"), Some((0, 0)));
     }
 
     #[test]
